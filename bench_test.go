@@ -402,6 +402,7 @@ func BenchmarkAblations(b *testing.B) {
 // regression (auto suddenly falling back to legacy) is visible in CI.
 func BenchmarkBlockEncode(b *testing.B) {
 	cfg := ltbench.EncodeConfig{Rows: 4000, Dir: b.TempDir()}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := ltbench.RunEncode(cfg)
 		if err != nil {

@@ -125,12 +125,13 @@ func (w *Writer) Finish() ([]byte, Encoding) {
 
 // Block is a parsed, read-only block, in either encoding: legacy blocks
 // keep the raw image and decode rows on demand; columnar blocks hold fully
-// decoded per-column value vectors.
+// decoded, type-specialized column vectors. Either way a cached Block
+// holds no per-cell pointers, and reading a row allocates nothing.
 type Block struct {
 	sc   *schema.Schema
-	data []byte // full block image
-	dir  []byte // legacy: the offset directory region
-	cols [][]ltval.Value
+	data []byte   // full block image
+	dir  []byte   // legacy: the offset directory region
+	cols []column // columnar: one vector per schema column
 	n    int
 }
 
@@ -163,55 +164,92 @@ func (b *Block) offset(i int) uint32 { return readU32(b.dir[4*i:]) }
 // Len returns the number of rows in the block.
 func (b *Block) Len() int { return b.n }
 
-// Row decodes row i. Byte-valued cells alias the block image.
+// Row decodes row i into a new row. Byte-valued cells alias the block
+// image.
 func (b *Block) Row(i int) (schema.Row, error) {
+	row := make(schema.Row, len(b.sc.Columns))
+	if err := b.RowInto(row, i); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// RowInto decodes row i into dst, which must hold one cell per schema
+// column, without allocating. Byte-valued cells alias the block image,
+// which is immutable, so they stay valid after dst is overwritten.
+func (b *Block) RowInto(dst schema.Row, i int) error {
 	if i < 0 || i >= b.n {
-		return nil, fmt.Errorf("block: row %d out of range [0,%d)", i, b.n)
+		return fmt.Errorf("block: row %d out of range [0,%d)", i, b.n)
 	}
 	if b.cols != nil {
-		row := make(schema.Row, len(b.cols))
 		for c := range b.cols {
-			row[c] = b.cols[c][i]
+			dst[c] = b.cols[c].value(i)
 		}
-		return row, nil
+		return nil
 	}
-	row, _, err := b.sc.DecodeRow(b.data[b.offset(i):])
-	return row, err
+	_, err := b.sc.DecodeRowInto(dst, b.data[b.offset(i):])
+	return err
+}
+
+// cell decodes column col of row i. Legacy rows are walked from their
+// start, skipping earlier columns, so no row is materialized.
+func (b *Block) cell(i, col int) (ltval.Value, error) {
+	if b.cols != nil {
+		return b.cols[col].value(i), nil
+	}
+	rest := b.data[b.offset(i):]
+	for c := 0; ; c++ {
+		v, w, err := ltval.Decode(b.sc.Columns[c].Type, rest)
+		if err != nil {
+			return ltval.Value{}, fmt.Errorf("block: row %d column %q: %w", i, b.sc.Columns[c].Name, err)
+		}
+		if c == col {
+			return v, nil
+		}
+		rest = rest[w:]
+	}
+}
+
+// compareKey orders row i against a key-ordered probe with the prefix
+// semantics of schema.CompareRowToKey, reading only the key cells.
+func (b *Block) compareKey(i int, key []ltval.Value) (int, error) {
+	n := min(len(key), len(b.sc.Key))
+	for k := 0; k < n; k++ {
+		v, err := b.cell(i, b.sc.Key[k])
+		if err != nil {
+			return 0, err
+		}
+		if c := v.Compare(key[k]); c != 0 {
+			return c, nil
+		}
+	}
+	return 0, nil
 }
 
 // Search returns the index of the first row whose key is >= key (treating a
 // short key as a prefix), in [0, Len()]. This is the in-block binary search
 // of §3.2.
 func (b *Block) Search(key []ltval.Value) (int, error) {
-	lo, hi := 0, b.n
-	var decodeErr error
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		row, err := b.Row(mid)
-		if err != nil {
-			return 0, err
-		}
-		if b.sc.CompareRowToKey(row, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, decodeErr
+	return b.search(key, 0)
 }
 
 // SearchAfter returns the index of the first row whose key is strictly
 // greater than key (with prefix semantics): the upper bound of the equal
 // range. Descending scans start at SearchAfter(key)-1.
 func (b *Block) SearchAfter(key []ltval.Value) (int, error) {
+	return b.search(key, 1)
+}
+
+// search returns the first row i whose compareKey(i, key) >= bound.
+func (b *Block) search(key []ltval.Value, bound int) (int, error) {
 	lo, hi := 0, b.n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		row, err := b.Row(mid)
+		c, err := b.compareKey(mid, key)
 		if err != nil {
 			return 0, err
 		}
-		if b.sc.CompareRowToKey(row, key) <= 0 {
+		if c < bound {
 			lo = mid + 1
 		} else {
 			hi = mid

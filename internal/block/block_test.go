@@ -1,6 +1,7 @@
 package block
 
 import (
+	"fmt"
 	"testing"
 
 	"littletable/internal/ltval"
@@ -233,6 +234,7 @@ func TestParseOffsetsOutOfOrder(t *testing.T) {
 func BenchmarkBlockSearch(b *testing.B) {
 	blk := buildBlock(b, 500)
 	k := key(5, 3)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := blk.Search(k); err != nil {
@@ -251,4 +253,62 @@ func BenchmarkBlockScan(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkBlockDecode decodes full-size columnar blocks whose value
+// column takes each codec family's specialist codec, reporting the
+// decoded vectors' allocation per block.
+func BenchmarkBlockDecode(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		typ   ltval.Type
+		codec Codec
+		cell  func(i int) ltval.Value
+	}{
+		{"delta", ltval.Int64, CodecDelta, func(i int) ltval.Value { return ltval.NewInt64(int64(i) * 1500) }},
+		{"xor", ltval.Double, CodecXOR, func(i int) ltval.Value { return ltval.NewDouble(20 + float64(i%7)*0.25) }},
+		{"dict", ltval.String, CodecDict, func(i int) ltval.Value { return ltval.NewString(fmt.Sprintf("wan%d", i%4)) }},
+		{"lzf", ltval.String, CodecLZF, func(i int) ltval.Value { return ltval.NewString(fmt.Sprintf("interface-%d", i)) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sc := schema.MustNew([]schema.Column{
+				{Name: "k", Type: ltval.Int64},
+				{Name: "ts", Type: ltval.Timestamp},
+				{Name: "v", Type: bc.typ},
+			}, []string{"k", "ts"})
+			w := NewWriter(sc)
+			for i := 0; w.SizeBytes() < TargetSize; i++ {
+				w.Append(schema.Row{ltval.NewInt64(int64(i / 100)), ltval.NewTimestamp(int64(i) * 60_000_000), bc.cell(i)})
+			}
+			img, enc := w.Finish()
+			if enc != EncColumnar {
+				b.Fatal("block did not encode columnar")
+			}
+			if got := imageCodecs(img)[2]; got != bc.codec {
+				b.Fatalf("value column chose codec %d, want %d", got, bc.codec)
+			}
+			b.SetBytes(int64(len(img)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decode(sc, EncColumnar, img); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// imageCodecs returns the per-column codec list of a columnar image.
+func imageCodecs(img []byte) []Codec {
+	r := img[5:]
+	_, w := uvarint(r)
+	r = r[w:]
+	ncols, w := uvarint(r)
+	r = r[w:]
+	out := make([]Codec, ncols)
+	for i := range out {
+		out[i] = Codec(r[i])
+	}
+	return out
 }

@@ -59,7 +59,7 @@ func parseColumnar(sc *schema.Schema, data []byte) (*Block, error) {
 	}
 	codecs := r[:ncols]
 	r = r[ncols:]
-	cols := make([][]ltval.Value, ncols)
+	cols := make([]column, ncols)
 	for i := range cols {
 		encLen, w := uvarint(r)
 		if w <= 0 || encLen > uint64(len(r)-w) {
@@ -67,11 +67,11 @@ func parseColumnar(sc *schema.Schema, data []byte) (*Block, error) {
 		}
 		colEnc := r[w : w+int(encLen)]
 		r = r[w+int(encLen):]
-		vals, err := decodeColumn(sc.Columns[i].Type, Codec(codecs[i]), colEnc, n)
+		col, err := readColumn(sc.Columns[i].Type, Codec(codecs[i]), colEnc, n)
 		if err != nil {
 			return nil, fmt.Errorf("column %d (%s): %w", i, sc.Columns[i].Name, err)
 		}
-		cols[i] = vals
+		cols[i] = col
 	}
 	if len(r) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r))
@@ -79,66 +79,123 @@ func parseColumnar(sc *schema.Schema, data []byte) (*Block, error) {
 	return &Block{sc: sc, data: data, cols: cols, n: n}, nil
 }
 
-// decodeColumn dispatches one column's bytes to its codec, checking the
+// column is one decoded columnar vector. It holds no per-cell pointers:
+// int-class cells are int64s, doubles float64s, and byte cells either
+// dictionary ids (entries alias the block image) or ranges of one buffer
+// of plain ltval encodings (the image, or the LZF-expanded copy).
+type column struct {
+	typ    ltval.Type
+	ints   []int64   // ClassInt
+	floats []float64 // ClassFloat
+	dict   [][]byte  // CodecDict entries
+	ids    []uint32  // CodecDict: row i's entry
+	data   []byte    // CodecPlain/CodecLZF byte cells, length-prefixed
+	offs   []uint32  // cell i's encoding is data[offs[i]:offs[i+1]]
+}
+
+// value returns cell i. Byte cells alias the column's buffer, so the
+// call allocates nothing.
+func (c *column) value(i int) ltval.Value {
+	switch {
+	case c.ints != nil:
+		return ltval.Value{Type: c.typ, Int: c.ints[i]}
+	case c.floats != nil:
+		return ltval.Value{Type: c.typ, Float: c.floats[i]}
+	case c.ids != nil:
+		return ltval.Value{Type: c.typ, Bytes: c.dict[c.ids[i]]}
+	default:
+		// Skip the uvarint length prefix; parse validated that the payload
+		// runs exactly to the next cell's start.
+		p := c.offs[i]
+		for c.data[p] >= 0x80 {
+			p++
+		}
+		return ltval.Value{Type: c.typ, Bytes: c.data[p+1 : c.offs[i+1]]}
+	}
+}
+
+// readColumn dispatches one column's bytes to its codec, checking the
 // codec is legal for the column's class.
-func decodeColumn(t ltval.Type, codec Codec, enc []byte, n int) ([]ltval.Value, error) {
+func readColumn(t ltval.Type, codec Codec, enc []byte, n int) (column, error) {
 	class := schema.ClassOf(t)
 	switch codec {
 	case CodecPlain:
-		return decodePlain(t, enc, n)
+		return readPlain(t, enc, n)
 	case CodecDelta:
 		if class != schema.ClassInt {
-			return nil, fmt.Errorf("%w: delta codec on %v column", ErrCorrupt, t)
+			return column{}, fmt.Errorf("%w: delta codec on %v column", ErrCorrupt, t)
 		}
-		return decodeDelta(t, enc, n)
+		return readDelta(t, enc, n)
 	case CodecXOR:
 		if class != schema.ClassFloat {
-			return nil, fmt.Errorf("%w: xor codec on %v column", ErrCorrupt, t)
+			return column{}, fmt.Errorf("%w: xor codec on %v column", ErrCorrupt, t)
 		}
-		return decodeXOR(enc, n)
+		return readXOR(enc, n)
 	case CodecDict:
 		if class != schema.ClassBytes {
-			return nil, fmt.Errorf("%w: dict codec on %v column", ErrCorrupt, t)
+			return column{}, fmt.Errorf("%w: dict codec on %v column", ErrCorrupt, t)
 		}
-		return decodeDict(t, enc, n)
+		return readDict(t, enc, n)
 	case CodecLZF:
 		if class != schema.ClassBytes {
-			return nil, fmt.Errorf("%w: lzf codec on %v column", ErrCorrupt, t)
+			return column{}, fmt.Errorf("%w: lzf codec on %v column", ErrCorrupt, t)
 		}
-		return decodeLZF(t, enc, n)
+		return readLZF(t, enc, n)
 	default:
-		return nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, codec)
+		return column{}, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, codec)
 	}
 }
 
-// decodePlain decodes n concatenated ltval encodings, requiring exact
-// consumption.
-func decodePlain(t ltval.Type, enc []byte, n int) ([]ltval.Value, error) {
-	vals := make([]ltval.Value, 0, capHint(n, len(enc)))
+// readPlain decodes n concatenated ltval encodings, requiring exact
+// consumption, into the vector of the type's class. Byte cells are not
+// copied: the column records where each encoding starts in enc.
+func readPlain(t ltval.Type, enc []byte, n int) (column, error) {
+	col := column{typ: t}
+	hint := capHint(n, len(enc))
+	switch schema.ClassOf(t) {
+	case schema.ClassInt:
+		col.ints = make([]int64, 0, hint)
+	case schema.ClassFloat:
+		col.floats = make([]float64, 0, hint)
+	default:
+		col.data = enc
+		col.offs = make([]uint32, 0, hint+1)
+	}
+	off := 0
 	for i := 0; i < n; i++ {
-		v, w, err := ltval.Decode(t, enc)
+		v, w, err := ltval.Decode(t, enc[off:])
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return column{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		enc = enc[w:]
-		vals = append(vals, v)
+		switch {
+		case col.ints != nil:
+			col.ints = append(col.ints, v.Int)
+		case col.floats != nil:
+			col.floats = append(col.floats, v.Float)
+		default:
+			col.offs = append(col.offs, uint32(off))
+		}
+		off += w
 	}
-	if len(enc) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing column bytes", ErrCorrupt, len(enc))
+	if off != len(enc) {
+		return column{}, fmt.Errorf("%w: %d trailing column bytes", ErrCorrupt, len(enc)-off)
 	}
-	return vals, nil
+	if col.offs != nil {
+		col.offs = append(col.offs, uint32(off))
+	}
+	return col, nil
 }
 
-// decodeDelta reverses encodeDelta with the same wrapping arithmetic.
+// readDelta reverses encodeDelta with the same wrapping arithmetic.
 // Int32 columns additionally require every value to fit in 32 bits: a
 // flipped delta that walks out of range is corruption, not a new value.
-func decodeDelta(t ltval.Type, enc []byte, n int) ([]ltval.Value, error) {
-	vals := make([]ltval.Value, 0, capHint(n, len(enc)))
+func readDelta(t ltval.Type, enc []byte, n int) (column, error) {
+	vals := make([]int64, 0, capHint(n, len(enc)))
 	var prev, prevDelta uint64
 	for i := 0; i < n; i++ {
 		u, w := uvarint(enc)
 		if w <= 0 {
-			return nil, fmt.Errorf("%w: bad delta varint", ErrCorrupt)
+			return column{}, fmt.Errorf("%w: bad delta varint", ErrCorrupt)
 		}
 		enc = enc[w:]
 		if i == 0 {
@@ -149,60 +206,60 @@ func decodeDelta(t ltval.Type, enc []byte, n int) ([]ltval.Value, error) {
 		}
 		v := int64(prev)
 		if t == ltval.Int32 && v != int64(int32(v)) {
-			return nil, fmt.Errorf("%w: delta value overflows int32", ErrCorrupt)
+			return column{}, fmt.Errorf("%w: delta value overflows int32", ErrCorrupt)
 		}
-		vals = append(vals, ltval.Value{Type: t, Int: v})
+		vals = append(vals, v)
 	}
 	if len(enc) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing column bytes", ErrCorrupt, len(enc))
+		return column{}, fmt.Errorf("%w: %d trailing column bytes", ErrCorrupt, len(enc))
 	}
-	return vals, nil
+	return column{typ: t, ints: vals}, nil
 }
 
-// decodeXOR reverses encodeXOR. The bitstream must end within the final
+// readXOR reverses encodeXOR. The bitstream must end within the final
 // byte and its padding bits must be zero, so every encoding is canonical
 // and trailing garbage is detected.
-func decodeXOR(enc []byte, n int) ([]ltval.Value, error) {
-	vals := make([]ltval.Value, 0, capHint(n, len(enc)))
+func readXOR(enc []byte, n int) (column, error) {
+	vals := make([]float64, 0, capHint(n, len(enc)))
 	if n == 0 {
 		if len(enc) != 0 {
-			return nil, fmt.Errorf("%w: bytes in empty xor column", ErrCorrupt)
+			return column{}, fmt.Errorf("%w: bytes in empty xor column", ErrCorrupt)
 		}
-		return vals, nil
+		return column{typ: ltval.Double, floats: vals}, nil
 	}
 	r := bitReader{b: enc}
 	prev, ok := r.readBits(64)
 	if !ok {
-		return nil, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
+		return column{}, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
 	}
-	vals = append(vals, ltval.NewDouble(math.Float64frombits(prev)))
+	vals = append(vals, math.Float64frombits(prev))
 	winLZ := uint(255)
 	winTZ := uint(0)
 	for i := 1; i < n; i++ {
 		ctrl, ok := r.readBit()
 		if !ok {
-			return nil, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
+			return column{}, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
 		}
 		if ctrl == 0 {
-			vals = append(vals, ltval.NewDouble(math.Float64frombits(prev)))
+			vals = append(vals, math.Float64frombits(prev))
 			continue
 		}
 		reuse, ok := r.readBit()
 		if !ok {
-			return nil, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
+			return column{}, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
 		}
 		if reuse == 0 {
 			if winLZ == 255 {
-				return nil, fmt.Errorf("%w: xor window reused before set", ErrCorrupt)
+				return column{}, fmt.Errorf("%w: xor window reused before set", ErrCorrupt)
 			}
 		} else {
 			lz, ok1 := r.readBits(5)
 			sigm1, ok2 := r.readBits(6)
 			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
+				return column{}, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
 			}
 			if uint(lz)+uint(sigm1)+1 > 64 {
-				return nil, fmt.Errorf("%w: xor window wider than 64 bits", ErrCorrupt)
+				return column{}, fmt.Errorf("%w: xor window wider than 64 bits", ErrCorrupt)
 			}
 			winLZ = uint(lz)
 			winTZ = 64 - winLZ - (uint(sigm1) + 1)
@@ -210,72 +267,72 @@ func decodeXOR(enc []byte, n int) ([]ltval.Value, error) {
 		sig := 64 - winLZ - winTZ
 		bits, ok := r.readBits(sig)
 		if !ok {
-			return nil, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
+			return column{}, fmt.Errorf("%w: truncated xor stream", ErrCorrupt)
 		}
 		prev ^= bits << winTZ
-		vals = append(vals, ltval.NewDouble(math.Float64frombits(prev)))
+		vals = append(vals, math.Float64frombits(prev))
 	}
 	// Exact consumption: the stream must end inside the last byte, with
 	// zero padding bits.
 	if (r.pos+7)/8 != len(enc) {
-		return nil, fmt.Errorf("%w: %d trailing xor bytes", ErrCorrupt, len(enc)-(r.pos+7)/8)
+		return column{}, fmt.Errorf("%w: %d trailing xor bytes", ErrCorrupt, len(enc)-(r.pos+7)/8)
 	}
 	for r.pos%8 != 0 {
 		bit, _ := r.readBit()
 		if bit != 0 {
-			return nil, fmt.Errorf("%w: nonzero xor padding", ErrCorrupt)
+			return column{}, fmt.Errorf("%w: nonzero xor padding", ErrCorrupt)
 		}
 	}
-	return vals, nil
+	return column{typ: ltval.Double, floats: vals}, nil
 }
 
-// decodeDict reverses encodeDict. Entries alias the block image; indices
+// readDict reverses encodeDict. Entries alias the block image; indices
 // must stay within the declared dictionary.
-func decodeDict(t ltval.Type, enc []byte, n int) ([]ltval.Value, error) {
+func readDict(t ltval.Type, enc []byte, n int) (column, error) {
 	count, w := uvarint(enc)
 	if w <= 0 || count > maxDictEntries {
-		return nil, fmt.Errorf("%w: bad dictionary size", ErrCorrupt)
+		return column{}, fmt.Errorf("%w: bad dictionary size", ErrCorrupt)
 	}
 	enc = enc[w:]
 	entries := make([][]byte, 0, count)
 	for i := uint64(0); i < count; i++ {
 		l, w := uvarint(enc)
 		if w <= 0 || l > uint64(len(enc)-w) {
-			return nil, fmt.Errorf("%w: truncated dictionary entry", ErrCorrupt)
+			return column{}, fmt.Errorf("%w: truncated dictionary entry", ErrCorrupt)
 		}
 		entries = append(entries, enc[w:w+int(l)])
 		enc = enc[w+int(l):]
 	}
-	vals := make([]ltval.Value, 0, capHint(n, len(enc)))
+	ids := make([]uint32, 0, capHint(n, len(enc)))
 	for i := 0; i < n; i++ {
 		id, w := uvarint(enc)
 		if w <= 0 || id >= uint64(len(entries)) {
-			return nil, fmt.Errorf("%w: bad dictionary index", ErrCorrupt)
+			return column{}, fmt.Errorf("%w: bad dictionary index", ErrCorrupt)
 		}
 		enc = enc[w:]
-		vals = append(vals, ltval.Value{Type: t, Bytes: entries[id]})
+		ids = append(ids, uint32(id))
 	}
 	if len(enc) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing column bytes", ErrCorrupt, len(enc))
+		return column{}, fmt.Errorf("%w: %d trailing column bytes", ErrCorrupt, len(enc))
 	}
-	return vals, nil
+	return column{typ: t, dict: entries, ids: ids}, nil
 }
 
-// decodeLZF decompresses the plain byte vector and decodes it. The raw
+// readLZF decompresses the plain byte vector and decodes it. The raw
 // length claim is capped so corruption cannot force a huge allocation.
-func decodeLZF(t ltval.Type, enc []byte, n int) ([]ltval.Value, error) {
+func readLZF(t ltval.Type, enc []byte, n int) (column, error) {
 	rawLen, w := uvarint(enc)
 	// Beyond the absolute cap, bound the claim by lzf's maximum expansion
 	// (255 output bytes per input byte), so a corrupt length cannot size a
 	// large zeroed buffer even when the image checksum has been forged.
 	if w <= 0 || rawLen > maxColumnBytes || rawLen > uint64(255*(len(enc)-w)+64) {
-		return nil, fmt.Errorf("%w: bad lzf length", ErrCorrupt)
+		return column{}, fmt.Errorf("%w: bad lzf length", ErrCorrupt)
 	}
 	raw, err := lzf.Decompress(make([]byte, rawLen), enc[w:])
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return column{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return decodePlain(t, raw, n)
+	return readPlain(t, raw, n)
 }
 
 // capHint bounds a column vector's preallocation by what its encoded bytes

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -248,7 +247,7 @@ func (t *Table) mergeTablets(sc *schema.Schema, inputs []*diskTablet, seq uint64
 
 	var scanned int64
 	q := NewQuery()
-	h := &mergeHeap{sc: sc, asc: true}
+	m := &merger{sc: sc, asc: true}
 	// Merges read every block of every input sequentially, the best case for
 	// prefetch; no context, since a merge runs to completion or error.
 	ro := tablet.ReadOptions{PrefetchDepth: t.opts.prefetchDepth()}
@@ -269,31 +268,20 @@ func (t *Table) mergeTablets(sc *schema.Schema, inputs []*diskTablet, seq uint64
 			return nil, err
 		}
 		srcs = append(srcs, src)
-		if row, ok := src.next(); ok {
-			heap.Push(h, heapItem{row: row, src: src, ord: ord})
-		} else if e := src.err(); e != nil {
+		if err := m.add(src, ord); err != nil {
 			_ = w.Abort() // best-effort cleanup; the original error wins
-			return nil, e
+			return nil, err
 		}
 	}
-	var lastKey schema.Row
-	for h.Len() > 0 {
-		top := h.item[0]
-		row := top.row
-		if next, ok := top.src.next(); ok {
-			h.item[0].row = next
-			heap.Fix(h, 0)
-		} else {
-			if e := top.src.err(); e != nil {
-				_ = w.Abort() // best-effort cleanup; the original error wins
-				return nil, e
-			}
-			heap.Pop(h)
+	for {
+		row, ok, err := m.next()
+		if err != nil {
+			_ = w.Abort() // best-effort cleanup; the original error wins
+			return nil, err
 		}
-		if lastKey != nil && sc.CompareKeys(row, lastKey) == 0 {
-			continue
+		if !ok {
+			break
 		}
-		lastKey = row
 		if sc.Ts(row) < expireLT {
 			continue // row already expired; reclaim during the rewrite
 		}

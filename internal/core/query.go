@@ -131,9 +131,11 @@ type diskSource struct {
 
 func newDiskSource(cur *schema.Schema, tab *tablet.Tablet, q *Query, scanned *int64, ro tablet.ReadOptions) (*diskSource, error) {
 	asc := !q.Descending
+	// The far bound stops the prefetcher at the last block the scan needs.
 	start := q.Lower
+	ro.Bound = q.Upper
 	if !asc {
-		start = q.Upper
+		start, ro.Bound = q.Upper, q.Lower
 	}
 	var c *tablet.Cursor
 	var err error
@@ -188,13 +190,21 @@ func (d *diskSource) next() (schema.Row, bool) {
 func (d *diskSource) err() error { return d.c.Err() }
 func (d *diskSource) close()     { d.c.Close() }
 
-// mergeHeap merge-sorts rowSources by primary key (§3.2: "merge-sorts the
+// merger merge-sorts rowSources by primary key (§3.2: "merge-sorts the
 // resulting streams to form a single result stream ordered by primary
-// key").
-type mergeHeap struct {
-	sc   *schema.Schema
-	asc  bool
-	item []heapItem
+// key"), dropping duplicate keys in favour of the newest source. It is the
+// one k-way merge behind queries, tablet merges and latest-row lookups.
+//
+// A source may reuse one row buffer for every row it yields, so the merge
+// advances a source only at the step after its row was returned: the row
+// next returns stays valid until the following call, and duplicates are
+// detected against a copy of the last key.
+type merger struct {
+	sc      *schema.Schema
+	asc     bool
+	item    []heapItem
+	advance bool          // the top source's row was returned; step it first
+	last    schema.KeyBuf // key of the last row returned
 }
 
 type heapItem struct {
@@ -203,25 +213,67 @@ type heapItem struct {
 	ord int // source index, breaking ties deterministically (newer first)
 }
 
-func (h *mergeHeap) Len() int { return len(h.item) }
-func (h *mergeHeap) Less(i, j int) bool {
-	c := h.sc.CompareKeys(h.item[i].row, h.item[j].row)
+func (m *merger) Len() int { return len(m.item) }
+func (m *merger) Less(i, j int) bool {
+	c := m.sc.CompareKeys(m.item[i].row, m.item[j].row)
 	if c == 0 {
-		return h.item[i].ord > h.item[j].ord // newer source wins ties
+		return m.item[i].ord > m.item[j].ord // newer source wins ties
 	}
-	if h.asc {
+	if m.asc {
 		return c < 0
 	}
 	return c > 0
 }
-func (h *mergeHeap) Swap(i, j int)      { h.item[i], h.item[j] = h.item[j], h.item[i] }
-func (h *mergeHeap) Push(x interface{}) { h.item = append(h.item, x.(heapItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.item
+func (m *merger) Swap(i, j int)      { m.item[i], m.item[j] = m.item[j], m.item[i] }
+func (m *merger) Push(x interface{}) { m.item = append(m.item, x.(heapItem)) }
+func (m *merger) Pop() interface{} {
+	old := m.item
 	n := len(old)
 	it := old[n-1]
-	h.item = old[:n-1]
+	m.item = old[:n-1]
 	return it
+}
+
+// add primes src's first row into the merge; ord breaks key ties, the
+// higher (newer) source winning. It returns the source's error, if any.
+func (m *merger) add(src rowSource, ord int) error {
+	if row, ok := src.next(); ok {
+		heap.Push(m, heapItem{row: row, src: src, ord: ord})
+		return nil
+	}
+	return src.err()
+}
+
+// next returns the next row in merge order, valid until the following
+// call, or ok=false once every source is exhausted or one fails.
+func (m *merger) next() (schema.Row, bool, error) {
+	for {
+		if m.advance {
+			m.advance = false
+			top := &m.item[0]
+			if row, ok := top.src.next(); ok {
+				top.row = row
+				heap.Fix(m, 0)
+			} else {
+				if err := top.src.err(); err != nil {
+					return nil, false, err
+				}
+				heap.Pop(m)
+			}
+		}
+		if len(m.item) == 0 {
+			return nil, false, nil
+		}
+		row := m.item[0].row
+		m.advance = true
+		// Duplicate keys across tablets cannot arise from correct inserts,
+		// but suppress them defensively; the newest source surfaced first.
+		if last := m.last.Row(); last != nil && m.sc.CompareKeys(row, last) == 0 {
+			continue
+		}
+		m.last.Set(m.sc, row)
+		return row, true, nil
+	}
 }
 
 // Iterator streams a query's result rows. The merge itself runs on the
@@ -239,7 +291,7 @@ type Iterator struct {
 	// mu serializes Next against Close; all fields below are guarded by
 	// it once the iterator is returned to the caller.
 	mu       sync.Mutex
-	h        *mergeHeap
+	m        merger
 	sources  []rowSource
 	disks    []*diskTablet
 	row      schema.Row
@@ -247,7 +299,6 @@ type Iterator struct {
 	scanned  int64
 	firstErr error
 	closed   bool
-	lastKey  schema.Row // for duplicate suppression across sources
 }
 
 // Query opens an iterator over the bounding box q. The iterator sees a
@@ -299,7 +350,7 @@ func (t *Table) QueryCtx(ctx context.Context, q Query) (*Iterator, error) {
 		ctx:      qctx,
 		cancel:   cancel,
 		expireLT: expireBefore(t.opts.Clock.Now(), ttl),
-		h:        &mergeHeap{sc: sc, asc: !q.Descending},
+		m:        merger{sc: sc, asc: !q.Descending},
 	}
 	var disks []*diskTablet
 	for _, dt := range t.disk {
@@ -405,9 +456,7 @@ func (t *Table) QueryCtx(ctx context.Context, q Query) (*Iterator, error) {
 
 func (it *Iterator) push(src rowSource, ord int) {
 	it.sources = append(it.sources, src)
-	if row, ok := src.next(); ok {
-		heap.Push(it.h, heapItem{row: row, src: src, ord: ord})
-	} else if err := src.err(); err != nil && it.firstErr == nil {
+	if err := it.m.add(src, ord); err != nil && it.firstErr == nil {
 		it.firstErr = err
 		it.t.stats.ReadErrors.Add(1)
 	}
@@ -423,30 +472,20 @@ func (it *Iterator) Next() bool {
 	if it.q.Limit > 0 && it.returned >= it.q.Limit {
 		return false
 	}
-	for it.h.Len() > 0 {
-		top := it.h.item[0]
-		row := top.row
-		if next, ok := top.src.next(); ok {
-			it.h.item[0].row = next
-			heap.Fix(it.h, 0)
-		} else {
-			if err := top.src.err(); err != nil && it.firstErr == nil {
-				it.firstErr = err
-				if !errors.Is(err, context.Canceled) {
-					// Cancellation surfacing mid-merge (a concurrent
-					// Close, a server timeout) is not a storage fault.
-					it.t.stats.ReadErrors.Add(1)
-				}
-				return false
+	for {
+		row, ok, err := it.m.next()
+		if err != nil {
+			it.firstErr = err
+			if !errors.Is(err, context.Canceled) {
+				// Cancellation surfacing mid-merge (a concurrent
+				// Close, a server timeout) is not a storage fault.
+				it.t.stats.ReadErrors.Add(1)
 			}
-			heap.Pop(it.h)
+			return false
 		}
-		// Duplicate keys across tablets cannot arise from correct inserts,
-		// but suppress them defensively; the newest source surfaced first.
-		if it.lastKey != nil && it.sc.CompareKeys(row, it.lastKey) == 0 {
-			continue
+		if !ok {
+			return false
 		}
-		it.lastKey = row
 		ts := it.sc.Ts(row)
 		if ts < it.q.MinTs || ts > it.q.MaxTs {
 			continue // outside the box's time bounds (§3.2)
@@ -458,7 +497,6 @@ func (it *Iterator) Next() bool {
 		it.returned++
 		return true
 	}
-	return false
 }
 
 // Row returns the current row; valid after Next reports true, until the

@@ -84,11 +84,7 @@ func (t *Table) checkUnique(sc *schema.Schema, row schema.Row, now int64) (bool,
 	}
 	if larger {
 		for _, dt := range disks {
-			lk, err := dt.tab.LastKey()
-			if err != nil {
-				return false, err
-			}
-			if lk != nil && compareKeyAcrossSchemas(key, lk) <= 0 {
+			if lk := dt.tab.LastKey(); lk != nil && compareKeyAcrossSchemas(key, lk) <= 0 {
 				larger = false
 				break
 			}

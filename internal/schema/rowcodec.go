@@ -25,20 +25,19 @@ func (s *Schema) EncodedRowSize(row Row) int {
 	return n
 }
 
-// DecodeRow decodes one row from b, returning the row and bytes consumed.
-// Byte-slice cells alias b.
-func (s *Schema) DecodeRow(b []byte) (Row, int, error) {
-	row := make(Row, len(s.Columns))
+// DecodeRowInto decodes one row from b into dst, which must hold one cell
+// per column, returning the bytes consumed. Byte-slice cells alias b.
+func (s *Schema) DecodeRowInto(dst Row, b []byte) (int, error) {
 	off := 0
 	for i, c := range s.Columns {
 		v, n, err := ltval.Decode(c.Type, b[off:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("schema: row column %q: %w", c.Name, err)
+			return 0, fmt.Errorf("schema: row column %q: %w", c.Name, err)
 		}
-		row[i] = v
+		dst[i] = v
 		off += n
 	}
-	return row, off, nil
+	return off, nil
 }
 
 // AppendKey appends the encoding of just the primary-key cells of row, in

@@ -351,3 +351,34 @@ func CloneRow(row Row) Row {
 	}
 	return out
 }
+
+// KeyBuf holds a copy of one row's primary-key cells in storage reused
+// from one Set to the next, so an order check or duplicate suppression
+// can outlive the row buffer it copied from without allocating per row.
+type KeyBuf struct {
+	row Row    // key cells at their column positions; other cells unset
+	buf []byte // backing store for byte-valued key cells
+}
+
+// Set replaces the held key with a copy of row's key cells.
+func (k *KeyBuf) Set(s *Schema, row Row) {
+	if len(k.row) != len(row) {
+		k.row = make(Row, len(row))
+	}
+	k.buf = k.buf[:0]
+	for _, c := range s.Key {
+		v := row[c]
+		if v.Bytes != nil {
+			// A reallocation below leaves earlier cells in the old array,
+			// which nothing writes again; the next Set replaces them.
+			start := len(k.buf)
+			k.buf = append(k.buf, v.Bytes...)
+			v.Bytes = k.buf[start:len(k.buf):len(k.buf)]
+		}
+		k.row[c] = v
+	}
+}
+
+// Row returns the held key as a row whose key cells are set, for
+// CompareKeys and AppendKey; nil before the first Set.
+func (k *KeyBuf) Row() Row { return k.row }

@@ -208,7 +208,8 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		if len(buf) != s.EncodedRowSize(r) {
 			t.Errorf("EncodedRowSize = %d, wrote %d", s.EncodedRowSize(r), len(buf))
 		}
-		got, n, err := s.DecodeRow(buf)
+		got := make(Row, len(s.Columns))
+		n, err := s.DecodeRowInto(got, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,8 +232,8 @@ func TestRowCodecWithStrings(t *testing.T) {
 	}, []string{"name", "ts"})
 	r := Row{ltval.NewString("device-42"), ltval.NewTimestamp(7), ltval.NewBlob([]byte{1, 2, 3})}
 	buf := s.AppendRow(nil, r)
-	got, _, err := s.DecodeRow(buf)
-	if err != nil {
+	got := make(Row, len(s.Columns))
+	if _, err := s.DecodeRowInto(got, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(got[0].Bytes) != "device-42" || got[2].Bytes[2] != 3 {
@@ -260,8 +261,8 @@ func TestKeyCodecRoundTrip(t *testing.T) {
 func TestDecodeRowShort(t *testing.T) {
 	s := usageSchema(t)
 	buf := s.AppendRow(nil, usageRow(1, 2, 3, 4))
-	if _, _, err := s.DecodeRow(buf[:len(buf)-1]); err == nil {
-		t.Error("DecodeRow accepted truncated buffer")
+	if _, err := s.DecodeRowInto(make(Row, len(s.Columns)), buf[:len(buf)-1]); err == nil {
+		t.Error("DecodeRowInto accepted truncated buffer")
 	}
 }
 
@@ -437,5 +438,29 @@ func TestDefaultsRow(t *testing.T) {
 	r := s.DefaultsRow()
 	if err := s.Validate(r); err != nil {
 		t.Errorf("defaults row invalid: %v", err)
+	}
+}
+
+// TestKeyBufCopiesKeyCells checks that a held key survives its source
+// row's buffers being overwritten, and that Set replaces it.
+func TestKeyBufCopiesKeyCells(t *testing.T) {
+	s := MustNew([]Column{
+		{Name: "name", Type: ltval.String},
+		{Name: "ts", Type: ltval.Timestamp},
+		{Name: "payload", Type: ltval.Blob},
+	}, []string{"name", "ts"})
+	var k KeyBuf
+	if k.Row() != nil {
+		t.Fatal("empty KeyBuf has a key")
+	}
+	name := []byte("device-1")
+	k.Set(s, Row{{Type: ltval.String, Bytes: name}, ltval.NewTimestamp(7), ltval.NewBlob([]byte{1})})
+	copy(name, "XXXXXXXX")
+	if got := k.Row(); string(got[0].Bytes) != "device-1" || got[1].Int != 7 || got[2].Bytes != nil {
+		t.Fatalf("held key = %v", got)
+	}
+	k.Set(s, Row{ltval.NewString("a-longer-device-name"), ltval.NewTimestamp(8), ltval.NewBlob(nil)})
+	if s.CompareKeys(k.Row(), Row{ltval.NewString("a-longer-device-name"), ltval.NewTimestamp(8), ltval.Value{}}) != 0 {
+		t.Fatalf("replaced key = %v", k.Row())
 	}
 }

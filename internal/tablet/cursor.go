@@ -18,13 +18,20 @@ type ReadOptions struct {
 	// this many blocks ahead of the cursor. <= 0 disables prefetch and
 	// the cursor loads blocks synchronously, as before.
 	PrefetchDepth int
+
+	// Bound is the far end of the scan's key range, with prefix
+	// semantics: the upper bound ascending, the lower bound descending;
+	// nil means unbounded. The prefetcher reads no block lying wholly
+	// past it. It never changes which rows the cursor yields.
+	Bound []ltval.Value
 }
 
 // Cursor iterates a tablet's rows in key order. It decodes one block at a
-// time; Row is valid until the next call to Next. Cursors are not safe for
-// concurrent use, but many cursors may read one Tablet concurrently. A
-// cursor opened with a PrefetchDepth owns a goroutine; Close reaps it
-// (Close is a no-op otherwise, and always idempotent).
+// time, into one reused row; Row is valid until the next call to Next.
+// Cursors are not safe for concurrent use, but many cursors may read one
+// Tablet concurrently. A cursor opened with a PrefetchDepth owns a
+// goroutine; Close reaps it (Close is a no-op otherwise, and always
+// idempotent).
 type Cursor struct {
 	t      *Tablet
 	asc    bool
@@ -95,10 +102,7 @@ func (t *Tablet) seekOpts(probe []ltval.Value, asc bool, ro ReadOptions) (*Curso
 		return c, nil
 	}
 	if asc {
-		bi, err := t.searchBlocks(probe)
-		if err != nil {
-			return nil, err
-		}
+		bi := t.searchBlocks(probe)
 		if bi == len(t.ft.blocks) {
 			c.done = true
 			return c, nil
@@ -132,10 +136,7 @@ func (t *Tablet) seekOpts(probe []ltval.Value, asc bool, ro ReadOptions) (*Curso
 	}
 	// Descending: find the first block whose lastKey > probe; the target
 	// row is there (before the upper bound) or in the previous block.
-	bi, err := t.searchBlocksAfter(probe)
-	if err != nil {
-		return nil, err
-	}
+	bi := t.searchBlocksAfter(probe)
 	if bi == len(t.ft.blocks) {
 		// Every key <= probe: start at the very last row.
 		c.blkIdx = len(t.ft.blocks) - 1
@@ -241,12 +242,13 @@ func (c *Cursor) Next() bool {
 		}
 		return c.Next()
 	}
-	row, err := c.blk.Row(c.rowIdx)
-	if err != nil {
+	if c.row == nil {
+		c.row = make(schema.Row, len(c.t.ft.sc.Columns))
+	}
+	if err := c.blk.RowInto(c.row, c.rowIdx); err != nil {
 		c.err = err
 		return false
 	}
-	c.row = row
 	if c.asc {
 		c.rowIdx++
 	} else {
@@ -256,7 +258,9 @@ func (c *Cursor) Next() bool {
 }
 
 // Row returns the current row; valid after Next reports true and until the
-// following Next call. Byte-valued cells alias the block buffer.
+// following Next call, which overwrites it. Byte-valued cells alias the
+// immutable block image, so a copied cell outlives the row; callers that
+// keep the row itself use schema.CloneRow.
 func (c *Cursor) Row() schema.Row { return c.row }
 
 // Err returns the first I/O or corruption error the cursor hit.
@@ -311,6 +315,9 @@ func newPrefetcher(t *Tablet, ro ReadOptions, start int, asc bool) *prefetcher {
 		defer close(p.done)
 		defer close(p.ch)
 		for i := start; i >= 0 && i < len(t.ft.blocks); i += step {
+			if ro.Bound != nil && t.pastBound(i, asc, ro.Bound) {
+				return
+			}
 			blk, err := t.loadBlockCtx(ro.Ctx, i)
 			select {
 			case p.ch <- fetchResult{idx: i, blk: blk, err: err}:
@@ -323,6 +330,17 @@ func newPrefetcher(t *Tablet, ro ReadOptions, start int, asc bool) *prefetcher {
 		}
 	}()
 	return p
+}
+
+// pastBound reports whether block i, and every block after it in the
+// scan direction, holds only keys past the scan's far bound. Ascending,
+// block i starts above its predecessor's last key; descending, it ends at
+// its own.
+func (t *Tablet) pastBound(i int, asc bool, bound []ltval.Value) bool {
+	if asc {
+		return i > 0 && comparePrefix(t.ft.blocks[i-1].key, bound) > 0
+	}
+	return comparePrefix(t.ft.blocks[i].key, bound) < 0
 }
 
 // Close stops the pipeline and waits for its goroutine to exit. Buffered

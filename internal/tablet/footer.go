@@ -6,6 +6,7 @@ import (
 
 	"littletable/internal/block"
 	"littletable/internal/bloom"
+	"littletable/internal/ltval"
 	"littletable/internal/schema"
 )
 
@@ -21,6 +22,7 @@ type blockMeta struct {
 	minTs    int64          // smallest row timestamp in the block
 	maxTs    int64          // largest row timestamp in the block
 	lastKey  []byte         // encoded primary key of the block's final row
+	key      []ltval.Value  // lastKey decoded, when parsed from a file
 }
 
 // footer is the tablet's metadata, written compressed at the end of the
@@ -117,6 +119,14 @@ func parseFooter(b []byte) (*footer, error) {
 		bm.minTs = int64(r.u64())
 		bm.maxTs = int64(r.u64())
 		bm.lastKey = r.bytes(int(r.u32()))
+		if r.err == nil {
+			// Decode once here so block searches never decode per probe.
+			key, err := f.sc.DecodeKey(bm.lastKey)
+			if err != nil {
+				return nil, fmt.Errorf("%w: block %d last key: %v", ErrCorrupt, i, err)
+			}
+			bm.key = key
+		}
 		f.blocks = append(f.blocks, bm)
 	}
 	fb := r.bytes(int(r.u32()))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"littletable/internal/block"
 	"littletable/internal/blockcache"
@@ -143,12 +144,13 @@ func (t *Tablet) MayContainKey(encodedKey []byte) bool {
 }
 
 // LastKey returns the largest primary key in the tablet, decoded, for the
-// ascending-insert uniqueness fast path (§3.4.4).
-func (t *Tablet) LastKey() ([]ltval.Value, error) {
+// ascending-insert uniqueness fast path (§3.4.4). Callers must not modify
+// it.
+func (t *Tablet) LastKey() []ltval.Value {
 	if len(t.ft.blocks) == 0 {
-		return nil, nil
+		return nil
 	}
-	return t.ft.sc.DecodeKey(t.ft.blocks[len(t.ft.blocks)-1].lastKey)
+	return t.ft.blocks[len(t.ft.blocks)-1].key
 }
 
 // VerifyBlocks reads every block record and checks its framing and
@@ -234,57 +236,28 @@ func (t *Tablet) FormatVersion() uint32 { return t.ft.version }
 
 // comparePrefix orders a full stored key against a possibly-short probe
 // key, treating the probe as a prefix (equal prefix compares equal).
-func comparePrefix(sc *schema.Schema, fullKey []byte, probe []ltval.Value) (int, error) {
-	full, err := sc.DecodeKey(fullKey)
-	if err != nil {
-		return 0, err
-	}
-	n := len(probe)
-	if n > len(full) {
-		n = len(full)
-	}
+func comparePrefix(full, probe []ltval.Value) int {
+	n := min(len(probe), len(full))
 	for i := 0; i < n; i++ {
 		if c := full[i].Compare(probe[i]); c != 0 {
-			return c, nil
+			return c
 		}
 	}
-	return 0, nil
+	return 0
 }
 
 // searchBlocks returns the index of the first block whose last key is >=
 // probe (prefix semantics), or BlockCount() if none.
-func (t *Tablet) searchBlocks(probe []ltval.Value) (int, error) {
-	lo, hi := 0, len(t.ft.blocks)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		c, err := comparePrefix(t.ft.sc, t.ft.blocks[mid].lastKey, probe)
-		if err != nil {
-			return 0, err
-		}
-		if c < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
+func (t *Tablet) searchBlocks(probe []ltval.Value) int {
+	return sort.Search(len(t.ft.blocks), func(i int) bool {
+		return comparePrefix(t.ft.blocks[i].key, probe) >= 0
+	})
 }
 
 // searchBlocksAfter returns the index of the first block whose last key is
 // strictly > probe (prefix semantics).
-func (t *Tablet) searchBlocksAfter(probe []ltval.Value) (int, error) {
-	lo, hi := 0, len(t.ft.blocks)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		c, err := comparePrefix(t.ft.sc, t.ft.blocks[mid].lastKey, probe)
-		if err != nil {
-			return 0, err
-		}
-		if c <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
+func (t *Tablet) searchBlocksAfter(probe []ltval.Value) int {
+	return sort.Search(len(t.ft.blocks), func(i int) bool {
+		return comparePrefix(t.ft.blocks[i].key, probe) > 0
+	})
 }

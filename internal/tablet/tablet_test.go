@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"littletable/internal/block"
+	"littletable/internal/blockcache"
 	"littletable/internal/ltval"
 	"littletable/internal/schema"
 )
@@ -280,6 +282,34 @@ func sortRows(sc *schema.Schema, rows []schema.Row) {
 	}
 }
 
+// TestWriterAfterAbortedWriter checks that a pooled write buffer carries
+// nothing buffered by an aborted writer into the next tablet.
+func TestWriterAfterAbortedWriter(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(filepath.Join(dir, "aborted.tab"), testSchema(t), WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range seqRows(3000) {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	rows := seqRows(500)
+	c := writeTablet(t, dir, WriterOptions{}, rows).Cursor(true)
+	for i := 0; c.Next(); i++ {
+		if c.Row()[3].Compare(rows[i][3]) != 0 {
+			t.Fatalf("row %d = %v, want %v", i, c.Row(), rows[i])
+		}
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestOutOfOrderRejected(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(filepath.Join(dir, "x.tab"), testSchema(t), WriterOptions{})
@@ -313,8 +343,7 @@ func TestEmptyTablet(t *testing.T) {
 	if c.Next() {
 		t.Error("seek on empty tablet yields rows")
 	}
-	lk, err := tab.LastKey()
-	if err != nil || lk != nil {
+	if lk := tab.LastKey(); lk != nil {
 		t.Error("empty tablet has a last key")
 	}
 }
@@ -355,10 +384,7 @@ func TestNoBloomOption(t *testing.T) {
 
 func TestLastKey(t *testing.T) {
 	tab := writeTablet(t, t.TempDir(), WriterOptions{}, seqRows(500))
-	lk, err := tab.LastKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lk := tab.LastKey()
 	if lk[0].Int != 4 || lk[1].Int != 9 || lk[2].Int != 9000 {
 		t.Fatalf("LastKey = %v", lk)
 	}
@@ -533,6 +559,34 @@ func TestCursorBlocksReadAccounting(t *testing.T) {
 	}
 }
 
+// TestCursorScanAllocs pins a cursor step over a cached columnar block at
+// zero allocations: each row is decoded into the cursor's one reused row.
+func TestCursorScanAllocs(t *testing.T) {
+	tab := writeTablet(t, t.TempDir(), WriterOptions{}, seqRows(1000))
+	if len(tab.ft.blocks) != 1 || tab.ft.blocks[0].enc != block.EncColumnar {
+		t.Fatalf("want one columnar block, got %d blocks", len(tab.ft.blocks))
+	}
+	tab.SetBlockCache(blockcache.New(1<<20), 1)
+	warm := tab.Cursor(true)
+	for warm.Next() {
+	}
+	c := tab.Cursor(true)
+	defer c.Close()
+	if !c.Next() {
+		t.Fatal(c.Err())
+	}
+	if hits, _ := tab.cache.Stats(); hits != 1 {
+		t.Fatalf("cursor did not read the cached block (%d hits)", hits)
+	}
+	if a := testing.AllocsPerRun(500, func() {
+		if !c.Next() {
+			t.Fatal("scan ended early")
+		}
+	}); a != 0 {
+		t.Errorf("cursor step allocates %.1f times per row", a)
+	}
+}
+
 func BenchmarkTabletWrite(b *testing.B) {
 	dir := b.TempDir()
 	sc := testSchema(b)
@@ -556,6 +610,7 @@ func BenchmarkTabletScan(b *testing.B) {
 	dir := b.TempDir()
 	tab := writeTablet(b, dir, WriterOptions{}, seqRows(100000))
 	b.SetBytes(int64(tab.SizeBytes() / tab.RowCount()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {

@@ -3,6 +3,7 @@ package tablet
 import (
 	"bufio"
 	"fmt"
+	"sync"
 
 	"littletable/internal/block"
 	"littletable/internal/bloom"
@@ -78,13 +79,19 @@ type Writer struct {
 	bw      *block.Writer
 	ft      footer
 	off     int64
-	lastRow schema.Row
+	last    schema.KeyBuf // key of the last appended row
 	blkMin  int64
 	blkMax  int64
 	hashes  []uint64 // h1,h2 pairs for the bloom filter
 	scratch []byte
 	closed  bool
 }
+
+// bufPool recycles tablet write buffers: flushes and merges create
+// tablets back to back, and a fresh 1 MiB buffer per tablet dominated the
+// write path's allocation. Buffers are reset before reuse, so the write
+// pattern is unchanged.
+var bufPool = sync.Pool{New: func() interface{} { return bufio.NewWriterSize(nil, 1<<20) }}
 
 // Create opens a tablet writer for rows of schema sc at path.
 func Create(path string, sc *schema.Schema, opts WriterOptions) (*Writer, error) {
@@ -98,12 +105,14 @@ func Create(path string, sc *schema.Schema, opts WriterOptions) (*Writer, error)
 	if opts.Encoding == block.ModeLegacy {
 		ftVersion = formatVersionV1
 	}
+	buf := bufPool.Get().(*bufio.Writer)
+	buf.Reset(f)
 	return &Writer{
 		path:    path,
 		tmpPath: tmp,
 		fsys:    fsys,
 		f:       f,
-		w:       bufio.NewWriterSize(f, 1<<20),
+		w:       buf,
 		opts:    opts,
 		sc:      sc,
 		bw:      block.NewWriterMode(sc, opts.Encoding),
@@ -117,8 +126,8 @@ func (w *Writer) Append(row schema.Row) error {
 	if w.closed {
 		return ErrClosed
 	}
-	if w.lastRow != nil && w.sc.CompareKeys(w.lastRow, row) >= 0 {
-		return fmt.Errorf("%w: key %v after %v", ErrOutOfOrder, w.sc.KeyOf(row), w.sc.KeyOf(w.lastRow))
+	if last := w.last.Row(); last != nil && w.sc.CompareKeys(last, row) >= 0 {
+		return fmt.Errorf("%w: key %v after %v", ErrOutOfOrder, w.sc.KeyOf(row), w.sc.KeyOf(last))
 	}
 	ts := w.sc.Ts(row)
 	if w.ft.rowCount == 0 {
@@ -144,12 +153,13 @@ func (w *Writer) Append(row schema.Row) error {
 	w.bw.Append(row)
 	w.ft.rowCount++
 	if !w.opts.DisableBloom {
-		h1, h2 := bloom.Hash(w.sc.AppendKey(w.scratch[:0], row))
+		w.scratch = w.sc.AppendKey(w.scratch[:0], row)
+		h1, h2 := bloom.Hash(w.scratch)
 		w.hashes = append(w.hashes, h1, h2)
 	}
-	// Retain a copy of the last row for order checking and the block's
+	// Retain a copy of the last key for order checking and the block's
 	// last-key index entry; row contents may alias caller buffers.
-	w.lastRow = schema.CloneRow(row)
+	w.last.Set(w.sc, row)
 	if w.bw.SizeBytes() >= w.opts.blockSize() {
 		return w.flushBlock()
 	}
@@ -174,7 +184,7 @@ func (w *Writer) flushBlock() error {
 		enc:      enc,
 		minTs:    w.blkMin,
 		maxTs:    w.blkMax,
-		lastKey:  w.sc.AppendKey(nil, w.lastRow),
+		lastKey:  w.sc.AppendKey(nil, w.last.Row()),
 	})
 	w.off += int64(diskLen)
 	return nil
@@ -189,6 +199,7 @@ func (w *Writer) Abort() error {
 		return nil
 	}
 	w.closed = true
+	w.releaseBuf()
 	w.f.Close()
 	return w.fsys.Remove(w.tmpPath)
 }
@@ -229,6 +240,7 @@ func (w *Writer) Close() (*Info, error) {
 		w.cleanup()
 		return nil, err
 	}
+	w.releaseBuf()
 	if w.opts.Sync {
 		if err := w.f.Sync(); err != nil {
 			w.cleanup()
@@ -261,6 +273,18 @@ func (w *Writer) Close() (*Info, error) {
 }
 
 func (w *Writer) cleanup() {
+	w.releaseBuf()
 	w.f.Close()
 	w.fsys.Remove(w.tmpPath)
+}
+
+// releaseBuf returns the write buffer to the pool, discarding anything
+// still buffered; the writer is closed and never writes again.
+func (w *Writer) releaseBuf() {
+	if w.w == nil {
+		return
+	}
+	w.w.Reset(nil)
+	bufPool.Put(w.w)
+	w.w = nil
 }

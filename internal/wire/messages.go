@@ -90,7 +90,11 @@ func NewInsert(table string, sc *schema.Schema, serverTs bool, rows []schema.Row
 
 // Encode serializes the message payload.
 func (m *Insert) Encode() []byte {
-	var b Buf
+	size := 4 + len(m.Table) + 4 + 1 + 4 // table, version, server-ts flag, row count
+	for _, r := range m.Rows {
+		size += m.sc.EncodedRowSize(r)
+	}
+	b := Buf{B: make([]byte, 0, size)}
 	b.String(m.Table)
 	b.U32(m.SchemaVersion)
 	b.Bool(m.ServerTimestamps)

@@ -343,33 +343,38 @@ func (b *Buf) Rows(sc *schema.Schema, rows []schema.Row) {
 	}
 }
 
-// Rows decodes a batch encoded under sc. Rows alias the payload; callers
-// needing longer lifetimes clone.
+// Rows decodes a batch encoded under sc into one value arena. Rows alias
+// the payload; callers needing longer lifetimes clone.
 func (d *Dec) Rows(sc *schema.Schema) []schema.Row {
 	n := int(d.U32())
 	if d.Err != nil || n < 0 {
 		return nil
 	}
-	// Every row encodes to at least one byte per column; a count beyond
-	// the remaining payload is corrupt, and pre-allocating from it would
-	// let a hostile frame exhaust memory.
-	if n > len(d.B)-d.off+1 {
+	// Every row encodes to at least one byte per column; a count whose
+	// rows or cells cannot fit the remaining payload is corrupt, and
+	// pre-allocating from it would let a hostile frame exhaust memory.
+	width := len(sc.Columns)
+	if n > len(d.B)-d.off+1 || n*width > len(d.B)-d.off {
 		d.fail("rows count")
 		return nil
 	}
-	rows := make([]schema.Row, 0, n)
-	for i := 0; i < n; i++ {
+	rows := make([]schema.Row, n)
+	arena := make([]ltval.Value, n*width)
+	for i := range rows {
 		if d.off > len(d.B) {
 			d.fail("rows")
 			return nil
 		}
-		row, used, err := sc.DecodeRow(d.B[d.off:])
+		// Full slice expressions keep an append to one row from
+		// overwriting the next.
+		row := schema.Row(arena[i*width : (i+1)*width : (i+1)*width])
+		used, err := sc.DecodeRowInto(row, d.B[d.off:])
 		if err != nil {
 			d.Err = err
 			return nil
 		}
 		d.off += used
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return rows
 }
